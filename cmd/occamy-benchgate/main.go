@@ -22,7 +22,7 @@
 //
 // Usage:
 //
-//	go test -run xxx -bench 'SteadyStateTick|BatchTick' -benchmem -count 3 . |
+//	go test -run xxx -bench SteadyStateTick -benchmem -count 3 . |
 //	    occamy-benchgate -baseline BENCH_PR10.json           # gate
 //	go test ... | occamy-benchgate -baseline BENCH_PR10.json -update
 package main

@@ -579,9 +579,9 @@ func (s *System) Run(maxCycles uint64) (*Result, error) {
 
 // FinishRun folds a run's terminal engine error (nil for a clean finish) into
 // Run's result shape: the Result plus, for aborted runs, the same *DiagError
-// Run would have returned. Sliced drivers — sim.Batch tasks that step the
-// engine through Engine.RunSlice themselves — use it so results and error
-// text stay bit-identical to an unsliced Run.
+// Run would have returned. Callers that step the engine themselves (RunTo up
+// to a checkpoint, then collect) use it to get the same Result shape and
+// error text Run produces.
 func (s *System) FinishRun(err error) (*Result, error) {
 	if err != nil {
 		werr := fmt.Errorf("arch: %s on %s: %w (pcs: %s)", s.Sched.Name, s.Kind, err, s.pcDump())

@@ -140,10 +140,14 @@ type Degradation struct {
 // architecture, checkpoints, and forks every failure count from the snapshot
 // with a swapped-in fault schedule — the points run serially per architecture
 // (they reuse one System), with the four architectures in parallel.
-// Config.NoSnapshot selects the legacy shape instead: every point an
-// independent full simulation, parallel across all points. Both paths produce
-// bit-identical sweeps (TestDegradationSnapshotPathIdentical).
-func (c Config) Degradation() (*Degradation, error) {
+func (c Config) Degradation() (*Degradation, error) { return c.degradation(false) }
+
+// degradation runs the sweep through the snapshot-forked path, or, with
+// independent set, as one full simulation per point from cycle zero,
+// parallel across all points. The independent shape is the in-package
+// reference the forked path is checked against: both produce bit-identical
+// sweeps (TestDegradationSnapshotPathIdentical).
+func (c Config) degradation(independent bool) (*Degradation, error) {
 	pair := degradationGroup()
 	probe, err := arch.Build(arch.Occamy, pair, arch.Options{Seed: c.Seed})
 	if err != nil {
@@ -156,7 +160,7 @@ func (c Config) Degradation() (*Degradation, error) {
 		out.Points[kind] = make([]DegPoint, units)
 	}
 
-	if err := c.degradationPoints(pair, units, out); err != nil {
+	if err := c.degradationPoints(pair, units, independent, out); err != nil {
 		return nil, err
 	}
 
@@ -176,10 +180,10 @@ func (c Config) Degradation() (*Degradation, error) {
 	return out, nil
 }
 
-// degradationPoints fills out.Points via the snapshot-forked path (default)
-// or the independent-runs path (Config.NoSnapshot).
-func (c Config) degradationPoints(pair workload.CoSchedule, units int, out *Degradation) error {
-	if c.NoSnapshot {
+// degradationPoints fills out.Points via the snapshot-forked path or the
+// independent-runs path.
+func (c Config) degradationPoints(pair workload.CoSchedule, units int, independent bool, out *Degradation) error {
+	if independent {
 		type job struct {
 			kind arch.Kind
 			f    int
@@ -217,14 +221,6 @@ func (c Config) degradationPoints(pair workload.CoSchedule, units int, out *Degr
 			}
 		}
 		return nil
-	}
-
-	if c.batched() {
-		tasks := make([]sim.Task, 0, len(arch.Kinds))
-		for _, kind := range arch.Kinds {
-			tasks = append(tasks, &degColumnTask{c: c, kind: kind, pair: pair, units: units, pts: out.Points[kind]})
-		}
-		return c.runBatches("degradation", tasks)
 	}
 
 	errs := make([]error, len(arch.Kinds))

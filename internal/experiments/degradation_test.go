@@ -62,15 +62,13 @@ func TestDegradationOccamyRetainsMost(t *testing.T) {
 
 // TestDegradationSnapshotPathIdentical is the sweep-level differential test
 // for warm-up sharing: the snapshot-forked sweep (default) and the
-// independent-runs sweep (NoSnapshot) must agree on every point of every
+// independent-runs sweep must agree on every point of every
 // architecture — cycles, elements, retention, recovery times, DNF verdicts
 // and reasons — because forking from the shared-prefix checkpoint is an
 // execution strategy, not a model change.
 func TestDegradationSnapshotPathIdentical(t *testing.T) {
 	forked := degSweep(t) // the shared sweep uses the default snapshot path
-	cfg := Quick()
-	cfg.NoSnapshot = true
-	straight, err := cfg.Degradation()
+	straight, err := Quick().degradation(true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,4 +89,27 @@ func TestDegradationRender(t *testing.T) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+}
+
+// BenchmarkDegradationSweep measures the checkpoint/restore payoff on the
+// sweep that motivates it: every point of the fault-degradation study shares
+// a warm-up prefix, which Snapshot runs once per architecture and forks,
+// while NoSnapshot re-simulates from cycle zero for every point. Results are
+// bit-identical (TestDegradationSnapshotPathIdentical); only wall time
+// differs. Run serially (-j 1 inside the config) so the ratio reflects
+// simulated work, not scheduling:
+//
+//	go test -run xxx -bench DegradationSweep -benchtime 3x ./internal/experiments
+func BenchmarkDegradationSweep(b *testing.B) {
+	run := func(b *testing.B, independent bool) {
+		cfg := Quick()
+		cfg.Parallel = 1
+		for i := 0; i < b.N; i++ {
+			if _, err := cfg.degradation(independent); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.Run("Snapshot", func(b *testing.B) { run(b, false) })
+	b.Run("NoSnapshot", func(b *testing.B) { run(b, true) })
 }

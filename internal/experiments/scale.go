@@ -10,7 +10,6 @@ import (
 	"occamy/internal/arch"
 	"occamy/internal/coproc"
 	"occamy/internal/metrics"
-	"occamy/internal/sim"
 	"occamy/internal/workload"
 )
 
@@ -103,56 +102,7 @@ func (c Config) Scalability(cores, clusters []int) (*Scale, error) {
 			}
 		}
 	}
-	scaleOpts := func(j job) arch.Options {
-		opts := arch.Options{}
-		if j.k > 1 {
-			opts.Topology = &coproc.Topology{
-				Clusters:     j.k,
-				HopLatency:   ScaleHopLatency,
-				HopBandwidth: ScaleHopBandwidth,
-			}
-		}
-		return opts
-	}
-	fold := func(j job, res *arch.Result) ScalePoint {
-		rates := make([]float64, 0, len(res.Cores))
-		for _, cr := range res.Cores {
-			if cr.Cycles > 0 {
-				rates = append(rates, float64(cr.Elems)/float64(cr.Cycles))
-			}
-		}
-		return ScalePoint{
-			Cores: j.n, Clusters: j.k, Kind: j.kind,
-			Cycles:         res.Cycles,
-			Throughput:     1000 * float64(res.Elems) / float64(res.Cycles),
-			Fairness:       metrics.Jain(rates),
-			Migrations:     res.Migrations,
-			FabricRefusals: res.FabricRefusals,
-		}
-	}
 	pts := make([]ScalePoint, len(jobs))
-
-	if c.batched() {
-		tasks := make([]sim.Task, len(jobs))
-		for i, j := range jobs {
-			i, j := i, j
-			label := fmt.Sprintf("scale:%dc/%dcl/%s", j.n, j.k, j.kind)
-			tasks[i] = c.runTask(label, j.kind, ScaleGroup(reg, j.n), scaleOpts(j),
-				func(res *arch.Result, rerr error) error {
-					if rerr != nil {
-						return fmt.Errorf("scale %dc/%dcl on %s: %w", j.n, j.k, j.kind, rerr)
-					}
-					pts[i] = fold(j, res)
-					return nil
-				})
-		}
-		if err := c.runBatches("scale", tasks); err != nil {
-			return nil, err
-		}
-		out.Points = pts
-		return out, nil
-	}
-
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.maxParallel())
@@ -162,14 +112,35 @@ func (c Config) Scalability(cores, clusters []int) (*Scale, error) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
+			opts := arch.Options{}
+			if j.k > 1 {
+				opts.Topology = &coproc.Topology{
+					Clusters:     j.k,
+					HopLatency:   ScaleHopLatency,
+					HopBandwidth: ScaleHopBandwidth,
+				}
+			}
 			labels := pprof.Labels("sweep", "scale", "point", fmt.Sprintf("%dc/%dcl/%s", j.n, j.k, j.kind))
 			pprof.Do(context.Background(), labels, func(context.Context) {
-				_, res, err := c.runOne(j.kind, ScaleGroup(reg, j.n), scaleOpts(j))
+				_, res, err := c.runOne(j.kind, ScaleGroup(reg, j.n), opts)
 				if err != nil {
 					errs[i] = fmt.Errorf("scale %dc/%dcl on %s: %w", j.n, j.k, j.kind, err)
 					return
 				}
-				pts[i] = fold(j, res)
+				rates := make([]float64, 0, len(res.Cores))
+				for _, cr := range res.Cores {
+					if cr.Cycles > 0 {
+						rates = append(rates, float64(cr.Elems)/float64(cr.Cycles))
+					}
+				}
+				pts[i] = ScalePoint{
+					Cores: j.n, Clusters: j.k, Kind: j.kind,
+					Cycles:         res.Cycles,
+					Throughput:     1000 * float64(res.Elems) / float64(res.Cycles),
+					Fairness:       metrics.Jain(rates),
+					Migrations:     res.Migrations,
+					FabricRefusals: res.FabricRefusals,
+				}
 			})
 		}(i, j)
 	}

@@ -10,7 +10,6 @@ import (
 	"occamy/internal/arch"
 	"occamy/internal/fault"
 	"occamy/internal/metrics"
-	"occamy/internal/sim"
 	"occamy/internal/telemetry"
 	"occamy/internal/traffic"
 )
@@ -88,40 +87,6 @@ func (c Config) Traffic(specStr string, withFaults bool) (*TrafficSweep, error) 
 		}
 	}
 
-	if c.batched() {
-		tasks := make([]sim.Task, len(jobs))
-		for i, j := range jobs {
-			i, j := i, j
-			wrap := func(err error) error {
-				return fmt.Errorf("traffic %s load=%gx faulted=%v: %w", j.kind, j.load, j.faulted, err)
-			}
-			var sc *traffic.Scenario
-			tasks[i] = &simJob{
-				label: fmt.Sprintf("traffic:%s/%gx/faulted=%v", j.kind, j.load, j.faulted),
-				build: func() (*sim.Engine, func() bool, uint64, error) {
-					var err error
-					sc, err = c.trafficBuild(j.kind, base, j.load, j.faulted)
-					if err != nil {
-						return nil, nil, 0, wrap(err)
-					}
-					return sc.Sys.Engine, sc.DonePredicate(), sc.DefaultBudget(), nil
-				},
-				finish: func(prev error) error {
-					rep, err := trafficVerify(sc, prev)
-					if err != nil {
-						return wrap(err)
-					}
-					out.Points[j.kind][j.slot].Report = rep
-					return nil
-				},
-			}
-		}
-		if err := c.runBatches("traffic", tasks); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-
 	errs := make([]error, len(jobs))
 	var wg sync.WaitGroup
 	sem := make(chan struct{}, c.maxParallel())
@@ -151,10 +116,8 @@ func (c Config) Traffic(specStr string, withFaults bool) (*TrafficSweep, error) 
 	return out, nil
 }
 
-// trafficBuild constructs one sweep point's scenario: seeded spec at the
-// swept load, fault variant wired, interrupt and telemetry attached. Both
-// execution shapes share it.
-func (c Config) trafficBuild(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Scenario, error) {
+// trafficPoint runs one sweep point and conservation-checks its report.
+func (c Config) trafficPoint(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Report, error) {
 	spec := base
 	spec.Load = load
 	opts := arch.Options{Seed: c.Seed, LegacyTick: c.LegacyTick}
@@ -174,13 +137,7 @@ func (c Config) trafficBuild(kind arch.Kind, base traffic.Spec, load float64, fa
 		label += "-faulted"
 	}
 	c.Telemetry.Attach(label, sc.Sys.Tele)
-	return sc, nil
-}
-
-// trafficVerify flushes telemetry and conservation-checks one finished run,
-// folding it into a verified per-tenant report. runErr is the run's terminal
-// engine error (nil when the stop condition was met).
-func trafficVerify(sc *traffic.Scenario, runErr error) (*traffic.Report, error) {
+	runErr := sc.Run(sc.DefaultBudget())
 	sc.Sys.Tele.Flush(sc.Sys.Engine.Cycle())
 	if runErr != nil {
 		return nil, runErr
@@ -196,16 +153,6 @@ func trafficVerify(sc *traffic.Scenario, runErr error) (*traffic.Report, error) 
 		return nil, err
 	}
 	return rep, nil
-}
-
-// trafficPoint runs one sweep point and conservation-checks its report.
-func (c Config) trafficPoint(kind arch.Kind, base traffic.Spec, load float64, faulted bool) (*traffic.Report, error) {
-	sc, err := c.trafficBuild(kind, base, load, faulted)
-	if err != nil {
-		return nil, err
-	}
-	runErr := sc.Run(sc.DefaultBudget())
-	return trafficVerify(sc, runErr)
 }
 
 // TotalCycles sums the simulated cycles across every sweep point.

@@ -166,3 +166,63 @@ func TestTimelineRecordRunMatchesRecord(t *testing.T) {
 		}
 	}
 }
+
+// tickCounter is a trivial component whose only state is how many ticks it
+// received, with one declared quiescent window so a run can be split inside
+// a skip.
+type tickCounter struct {
+	ticks   uint64
+	skipped uint64
+	// sleepFrom/sleepTo declare one quiescent window (0,0 = never sleeps).
+	sleepFrom, sleepTo uint64
+}
+
+func (c *tickCounter) Name() string      { return "ctr" }
+func (c *tickCounter) Tick(cycle uint64) { c.ticks++ }
+func (c *tickCounter) NextWake(now uint64) (uint64, bool) {
+	if now >= c.sleepFrom && now < c.sleepTo {
+		return c.sleepTo, true
+	}
+	return 0, false
+}
+func (c *tickCounter) SkipTicks(from, n uint64) { c.skipped += n }
+
+// TestRunUntilSegmentedMatchesUnsplit pins chunk-linearity: a run split into
+// RunUntil segments — one boundary inside a skip window, clamped there by the
+// segment's budget the way RunTo and checkpoint forks clamp — ends at the
+// same cycle with the same real and skipped tick counts as one unsplit run.
+func TestRunUntilSegmentedMatchesUnsplit(t *testing.T) {
+	mk := func() (*Engine, *tickCounter) {
+		e := NewEngine()
+		c := &tickCounter{sleepFrom: 3000, sleepTo: 8000}
+		e.Register(c)
+		return e, c
+	}
+	runTo := func(e *Engine, target uint64) {
+		t.Helper()
+		if _, err := e.RunUntil(func() bool { return e.Cycle() >= target }, target-e.Cycle()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	whole, wc := mk()
+	runTo(whole, 9000)
+
+	seg, sc := mk()
+	for _, target := range []uint64{1000, 2500, 4000, 9000} {
+		runTo(seg, target)
+	}
+
+	if seg.Cycle() != whole.Cycle() {
+		t.Fatalf("segmented run ends at cycle %d, unsplit at %d", seg.Cycle(), whole.Cycle())
+	}
+	if sc.ticks != wc.ticks || sc.skipped != wc.skipped {
+		t.Fatalf("segmented ticks/skipped %d/%d != unsplit %d/%d", sc.ticks, sc.skipped, wc.ticks, wc.skipped)
+	}
+	if wc.skipped == 0 {
+		t.Fatal("unsplit run skipped nothing; the test no longer covers a skip window")
+	}
+	if seg.Skips() <= whole.Skips() {
+		t.Fatalf("segmented run made %d jumps, unsplit %d; the window was not split", seg.Skips(), whole.Skips())
+	}
+}

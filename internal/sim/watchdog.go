@@ -51,7 +51,7 @@ func (e *BudgetError) Error() string {
 // ProgressReporter's counter moves for threshold cycles, RunUntil returns a
 // *StallError naming the stalled components instead of ticking on until the
 // cycle budget runs out. Zero disarms. The watchdog is skip-ahead
-// compatible — skip jumps clamp to the sampling schedule (see RunSlice), so
+// compatible — skip jumps clamp to the sampling schedule (see RunUntil), so
 // a skipping run examines the same progress counters at the same cycles a
 // legacy run would and detects a genuine dead stall at the identical cycle;
 // quiescent windows with a declared finite wake are healthy sleeps and never

@@ -72,19 +72,13 @@ func Build(kind arch.Kind, spec Spec, opts arch.Options) (*Scenario, error) {
 // bit-identical between skip-ahead and legacy ticking). maxCycles is the
 // hard safety budget.
 func (sc *Scenario) Run(maxCycles uint64) error {
-	_, err := sc.Sys.Engine.RunUntil(sc.DonePredicate(), maxCycles)
-	return err
-}
-
-// DonePredicate returns the stop condition Run evaluates, so sliced drivers
-// (sim.Batch tasks) can step the engine through Engine.RunSlice themselves
-// and stay bit-identical to an unsliced Run.
-func (sc *Scenario) DonePredicate() func() bool {
-	if sc.Spec.Drain {
-		return sc.Sched.Done
+	done := sc.Sched.Done
+	if !sc.Spec.Drain {
+		stop := sc.Spec.StopCycle()
+		done = func() bool { return sc.Sys.Engine.Cycle() >= stop || sc.Sched.Done() }
 	}
-	stop := sc.Spec.StopCycle()
-	return func() bool { return sc.Sys.Engine.Cycle() >= stop || sc.Sched.Done() }
+	_, err := sc.Sys.Engine.RunUntil(done, maxCycles)
+	return err
 }
 
 // DefaultBudget is a generous per-run cycle cap for Run: overload keeps
