@@ -12,7 +12,7 @@ import (
 // allocGroup is a two-core group whose steady state is long: both workloads
 // loop the same kernel for tens of thousands of cycles, so a measurement
 // window warmed past the cold-start allocations (queue ramp-up, first lane
-// plan, first timeline buckets) sits deep inside a single phase on every
+// plan, first busy-lane marks) sits deep inside a single phase on every
 // architecture.
 func allocGroup() workload.CoSchedule {
 	r := workload.NewRegistry()
@@ -26,12 +26,12 @@ func allocGroup() workload.CoSchedule {
 	}}
 }
 
-// measureSteadyAllocs warms sys past cycle 2000 (so the third 1000-cycle
-// timeline bucket already exists — bucket growth is a legitimate, amortized
-// allocation that happens once per 1000 cycles, outside any steady-state
-// window) and then measures allocations over 11 windows of 80 real ticks
-// each. The 880 measured cycles span [2001, 2881): no bucket boundary is
-// crossed, so a nonzero result means real per-cycle garbage.
+// measureSteadyAllocs warms sys past cycle 2000 (so the busy-lane mark at
+// that 1000-cycle boundary is already taken — mark growth is a legitimate,
+// amortized allocation that happens once per 1000 cycles, outside any
+// steady-state window) and then measures allocations over 11 windows of 80
+// real ticks each. The 880 measured cycles span [2001, 2881): no bucket
+// boundary is crossed, so a nonzero result means real per-cycle garbage.
 func measureSteadyAllocs(t *testing.T, sys *System) float64 {
 	t.Helper()
 	// The measurement must exercise the genuine per-cycle path, not the

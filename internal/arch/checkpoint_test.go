@@ -28,8 +28,9 @@ func ckGroup() workload.CoSchedule {
 
 // fingerprint renders everything a run can observably produce: the full
 // Result (cycles, per-core measurements, attribution, recoveries), the
-// complete counter registry, and the lane-event log. Two runs with equal
-// fingerprints are bit-identical for every consumer in this repository.
+// complete counter registry, the lane-event log and every core's busy-lane
+// curve. Two runs with equal fingerprints are bit-identical for every
+// consumer in this repository.
 // Attribution is a pointer field, so it is dereferenced into the fingerprint
 // separately (fmt would otherwise print its address).
 func fingerprint(sys *System, res *Result) string {
@@ -42,8 +43,12 @@ func fingerprint(sys *System, res *Result) string {
 		}
 		flat.Cores[i].Attribution = nil
 	}
-	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v",
-		&flat, attrs, sys.Stats.Snapshot(), sys.Coproc.LaneEvents())
+	lanes := make([][]float64, len(flat.Cores))
+	for c := range lanes {
+		lanes[c] = sys.Cplx.BusyLanes(c)
+	}
+	return fmt.Sprintf("res=%+v\nattr=%v\nstats=%v\nevents=%+v\nlanes=%v",
+		&flat, attrs, sys.Stats.Snapshot(), sys.Coproc.LaneEvents(), lanes)
 }
 
 // mustRun runs to completion, failing the test on any engine error.

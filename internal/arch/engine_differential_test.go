@@ -112,8 +112,8 @@ func TestEngineSkipAheadBitIdentical(t *testing.T) {
 	}
 }
 
-// TestEngineSkipAheadTimelineIdentical pins the bulk timeline path: the
-// busy-lane timelines (Figure 2's plots) must match point for point.
+// TestEngineSkipAheadTimelineIdentical pins the skipped-window bucket marks:
+// the busy-lane curves (Figure 2's plots) must match point for point.
 func TestEngineSkipAheadTimelineIdentical(t *testing.T) {
 	reg := workload.NewRegistry()
 	pair := workload.MotivatingPair(reg).Scaled(0.1)
@@ -129,7 +129,7 @@ func TestEngineSkipAheadTimelineIdentical(t *testing.T) {
 	}
 	leg, skip := build(true), build(false)
 	for c := 0; c < pair.Cores(); c++ {
-		lp, sp := leg.Coproc.BusyTimeline(c).Points(), skip.Coproc.BusyTimeline(c).Points()
+		lp, sp := leg.Cplx.BusyLanes(c), skip.Cplx.BusyLanes(c)
 		if len(lp) != len(sp) {
 			t.Fatalf("core %d: timeline length legacy=%d skip=%d", c, len(lp), len(sp))
 		}

@@ -1,8 +1,10 @@
 package arch
 
 import (
+	"math"
 	"testing"
 
+	"occamy/internal/coproc"
 	"occamy/internal/workload"
 )
 
@@ -83,7 +85,9 @@ func TestLaneConservationUnderChurn(t *testing.T) {
 }
 
 // TestUtilizationNeverExceedsOne guards the busy-lane accounting on all four
-// architectures.
+// architectures. The busy-lane curve must also conserve against the
+// cumulative counter: one point per started bucket, each a whole number of
+// lane-cycles over its span, summing to BusyLaneCycles.
 func TestUtilizationNeverExceedsOne(t *testing.T) {
 	r := workload.NewRegistry()
 	sched := workload.CaseStudyPair(r, 1).Scaled(0.2)
@@ -99,11 +103,30 @@ func TestUtilizationNeverExceedsOne(t *testing.T) {
 		if res.Utilization < 0 || res.Utilization > 1 {
 			t.Errorf("%s: utilization %v out of [0,1]", kind, res.Utilization)
 		}
+		const bucket = coproc.BusyBucketCycles
+		cycles := sys.Cplx.Cycles()
 		for c := range sys.Cores {
-			for _, v := range sys.Coproc.BusyTimeline(c).Points() {
+			pts := sys.Cplx.BusyLanes(c)
+			if want := (cycles + bucket - 1) / bucket; uint64(len(pts)) != want {
+				t.Fatalf("%s core %d: %d buckets for %d cycles, want %d", kind, c, len(pts), cycles, want)
+			}
+			total := 0.0
+			for k, v := range pts {
 				if v < 0 || v > 32 {
 					t.Fatalf("%s core %d: busy lanes %v out of [0,32]", kind, c, v)
 				}
+				span := float64(min(bucket, cycles-uint64(k)*bucket))
+				// v*span need not round back exactly (1001.0/1000*1000
+				// does not), so recover the whole lane count and check
+				// it reproduces v.
+				lanes := math.Round(v * span)
+				if lanes/span != v {
+					t.Fatalf("%s core %d bucket %d: %v is not a whole lane count over %v cycles", kind, c, k, v, span)
+				}
+				total += lanes
+			}
+			if got := sys.Cplx.BusyLaneCycles(c); total != got {
+				t.Fatalf("%s core %d: curve sums to %v lane-cycles, counter has %v", kind, c, total, got)
 			}
 		}
 	}

@@ -3,7 +3,6 @@ package coproc
 import (
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
-	"occamy/internal/sim"
 )
 
 // This file implements the co-processor side of the system checkpoint: a
@@ -42,7 +41,7 @@ type ckCore struct {
 	lastReject     int
 	lastActive     uint64
 	busyLaneAccum  float64
-	timeline       sim.TimelineState
+	busyMarks      []float64
 }
 
 // ckFault is the checkpoint of the injected-fault effects (nil when none
@@ -109,7 +108,7 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 			lastReject:     c.lastReject,
 			lastActive:     c.lastActive,
 			busyLaneAccum:  c.busyLaneAccum,
-			timeline:       c.busyTimeline.Snapshot(),
+			busyMarks:      append([]float64(nil), c.busyMarks...),
 		}
 		lanes := cp.cfg.Lanes()
 		ck.z = make([]float32, isa.NumZRegs*lanes)
@@ -144,6 +143,7 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 	cp.events = append(cp.events[:0], st.events...)
 	cp.progress = st.progress
 	cp.acctUpTo = st.acctUpTo
+	cp.nextMark = uint64(len(st.cores[0].busyMarks)+1) * BusyBucketCycles
 	lanes := cp.cfg.Lanes()
 	for i, c := range cp.cores {
 		ck := &st.cores[i]
@@ -171,7 +171,7 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 		c.lastActive = ck.lastActive
 		c.busyLaneAccum = ck.busyLaneAccum
 		c.acct = st.acctUpTo // the checkpoint was taken fully flushed
-		c.busyTimeline.Restore(ck.timeline)
+		c.busyMarks = append(c.busyMarks[:0], ck.busyMarks...)
 		for r := range c.z {
 			copy(c.z[r], ck.z[r*lanes:(r+1)*lanes])
 		}

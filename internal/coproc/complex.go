@@ -6,7 +6,6 @@ import (
 
 	"occamy/internal/isa"
 	"occamy/internal/lanemgr"
-	"occamy/internal/sim"
 )
 
 // TransmitFabricBusy: the CPU→coproc fabric refused the transmission this
@@ -386,15 +385,20 @@ func (cx *Complex) Repartitions() uint64 {
 	return n
 }
 
-// BusyTimeline merges core c's busy-lane timeline across clusters into one
-// machine-wide view (report time only; allocates). Every cluster records
-// every cycle, so bucket sums add and the sample counts agree.
-func (cx *Complex) BusyTimeline(c int) *sim.Timeline {
-	ts := make([]*sim.Timeline, len(cx.cls))
-	for k, cp := range cx.cls {
-		ts[k] = cp.BusyTimeline(c)
+// BusyLanes returns core c's busy-lane curve (Figures 2 and 14(b)) over
+// every cluster: the average busy lanes per cycle of each BusyBucketCycles
+// bucket, the last one over the cycles simulated so far (report time only;
+// allocates). Every cluster ticks the same cycles, so bucket sums add.
+func (cx *Complex) BusyLanes(c int) []float64 {
+	upTo := cx.cls[0].acctUpTo
+	lanes := make([]float64, (upTo+BusyBucketCycles-1)/BusyBucketCycles)
+	for _, cp := range cx.cls {
+		cp.addBusySums(c, lanes)
 	}
-	return sim.SumTimelines(ts)
+	for k := range lanes {
+		lanes[k] /= float64(min(upTo-uint64(k)*BusyBucketCycles, BusyBucketCycles))
+	}
+	return lanes
 }
 
 // LaneEvents merges every cluster's lane-management log in cycle order.

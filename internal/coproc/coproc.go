@@ -153,36 +153,34 @@ type coreState struct {
 	// co-processor finishes its backlog).
 	lastActive uint64
 
-	busyTimeline sim.Timeline // average busy lanes per 1000 cycles (by value: the
-	// per-cycle Record touches the same cache lines as the queue cursors)
-
 	// busyLaneAccum is the cumulative busy-lane count for this core alone
 	// (the per-core counterpart of Coproc.busyLaneCycles); the telemetry
 	// sampler diffs it at window boundaries into per-core occupancy. The
 	// sleep mirror needs no update: quiescent windows have zero busy lanes.
 	busyLaneAccum float64
 
-	// acct is the first cycle whose per-cycle accounting (the timeline's
-	// zero sample and the lastActive check) has not been materialized yet.
-	// Tick only visits cores whose pool was non-empty (everything else is
-	// bit-identical to recording a zero), so a core idling for a million
-	// cycles costs nothing per cycle; flushAcct backfills the owed window
-	// before anything reads or snapshots the derived state.
+	// busyMarks[k] is busyLaneAccum as of cycle (k+1)*BusyBucketCycles,
+	// so Complex.BusyLanes reads each bucket's sum as a difference of two
+	// marks.
+	busyMarks []float64
+
+	// acct is the first cycle whose lastActive check has not been
+	// materialized yet. Tick only visits cores whose pool was non-empty, so
+	// a core idling for a million cycles costs nothing per cycle; flushAcct
+	// settles the owed window before anything reads or snapshots lastActive.
 	acct uint64
 }
 
 // flushAcct materializes the accounting for st's unaccounted cycles
-// [st.acct, upTo): each recorded zero busy lanes (exact — RecordRun with
-// v == 0 is bit-identical to per-cycle zero Records), and lastActive
-// advances to the last cycle in the window that still had in-flight work.
-// maxRel bounds that exactly: entries are only added at issue (a visited
-// instant < st.acct), so within the window the in-flight population only
-// expires, and the last cycle with work is min(upTo-1, maxRel-1).
+// [st.acct, upTo): lastActive advances to the last cycle in the window that
+// still had in-flight work. maxRel bounds that exactly: entries are only
+// added at issue (a visited instant < st.acct), so within the window the
+// in-flight population only expires, and the last cycle with work is
+// min(upTo-1, maxRel-1).
 func (st *coreState) flushAcct(upTo uint64) {
 	if st.acct >= upTo {
 		return
 	}
-	st.busyTimeline.RecordRun(st.acct, upTo-st.acct, 0)
 	if r := st.inflight.maxRel; r > st.acct {
 		last := upTo - 1
 		if r-1 < last {
@@ -270,6 +268,9 @@ type Coproc struct {
 	// covered — the bound flushAcct backfills to on reads and snapshots.
 	acctNow  []bool
 	acctUpTo uint64
+	// nextMark is the next bucket boundary markBusy has not recorded:
+	// always (len(busyMarks)+1)*BusyBucketCycles.
+	nextMark uint64
 
 	// events is the lane-management log (bounded; see laneEventCap).
 	// decArena backs the events' Decisions slices in chunks, so logging
@@ -367,13 +368,14 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 		cycleBusyLanes: make([]float64, cfg.Cores),
 		acctNow:        make([]bool, cfg.Cores),
 		sleepFxs:       make([]sleepFx, cfg.Cores),
+		nextMark:       BusyBucketCycles,
 	}
 	cp.renameStallsCell = stats.Counter("coproc.rename.stalls")
 	cp.mshrRetriesCell = stats.Counter("coproc.lsu.mshr_retries")
 	cp.drainWaitCell = stats.Counter("coproc.drain_wait_cycles")
 	lanes := cfg.Lanes()
 	for c := 0; c < cfg.Cores; c++ {
-		st := &coreState{busyTimeline: *sim.NewTimeline(1000), lastReject: -1}
+		st := &coreState{lastReject: -1}
 		st.done.init()
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
@@ -682,6 +684,9 @@ func (cp *Coproc) SetName(name string) { cp.name = name }
 // cycleBusyLanes enters every Tick all-zero: the accounting loop at the
 // bottom re-zeroes each slot after consuming it.
 func (cp *Coproc) Tick(now uint64) {
+	if now >= cp.nextMark {
+		cp.markBusy(now)
+	}
 	em := 2 // EM-SIMD data path: 2 insts/cycle (Figure 5)
 	// Rotate core priority every cycle so one core cannot monopolize
 	// shared structures (MSHRs, cache ports) through tick ordering.
@@ -735,9 +740,9 @@ func (cp *Coproc) Tick(now uint64) {
 	emit := s != nil && now&1023 == 0
 	for c, st := range cp.cores {
 		if !cp.acctNow[c] && !emit {
-			// Not ticked this cycle (empty pool): the only accounting
-			// effect is a zero timeline sample and a possible in-flight
-			// lastActive bump, both owed lazily via flushAcct.
+			// Not ticked this cycle (empty pool): the busy-lane sample
+			// is zero and the possible in-flight lastActive bump is owed
+			// lazily via flushAcct.
 			continue
 		}
 		cp.acctNow[c] = false
@@ -747,7 +752,6 @@ func (cp *Coproc) Tick(now uint64) {
 		if st.head < st.tail || st.inflight.Count(now) > 0 {
 			st.lastActive = now
 		}
-		st.busyTimeline.Record(now, v)
 		st.acct = now + 1
 		st.busyLaneAccum += v
 		totalBusy += v
@@ -1090,10 +1094,36 @@ func (cp *Coproc) LastActive(c int) uint64 {
 // Z returns the functional value of lane i of register r on core c (tests).
 func (cp *Coproc) Z(c int, r isa.Reg, i int) float32 { return cp.cores[c].z[r][i] }
 
-// BusyTimeline returns core c's busy-lane timeline (Figures 2 and 14(b)).
-func (cp *Coproc) BusyTimeline(c int) *sim.Timeline {
-	cp.cores[c].flushAcct(cp.acctUpTo)
-	return &cp.cores[c].busyTimeline
+// BusyBucketCycles is the width of the busy-lane curves of Figures 2 and
+// 14(b): "each point represents a set of 1000 consecutive cycles".
+const BusyBucketCycles = 1000
+
+// markBusy records every core's busyLaneAccum at each bucket boundary up to
+// and including upTo. The caller guarantees every cycle in [nextMark, upTo)
+// sampled zero busy lanes, so the count is the same at each of them.
+func (cp *Coproc) markBusy(upTo uint64) {
+	for ; cp.nextMark <= upTo; cp.nextMark += BusyBucketCycles {
+		for _, st := range cp.cores {
+			st.busyMarks = append(st.busyMarks, st.busyLaneAccum)
+		}
+	}
+}
+
+// addBusySums adds core c's busy-lane count per bucket into sums, one entry
+// per bucket up to acctUpTo. Every per-cycle sample is a whole number of
+// lanes, so the marks and their differences are exact in float64.
+func (cp *Coproc) addBusySums(c int, sums []float64) {
+	st := cp.cores[c]
+	prev := 0.0
+	for k := range sums {
+		// Only the boundary at acctUpTo itself can be still unmarked.
+		hi := st.busyLaneAccum
+		if k < len(st.busyMarks) {
+			hi = st.busyMarks[k]
+		}
+		sums[k] += hi - prev
+		prev = hi
+	}
 }
 
 // ComputeIssued returns the number of SIMD compute instructions core c has

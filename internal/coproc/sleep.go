@@ -272,9 +272,6 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 			}
 			st.lastActive = last
 		}
-		// Every elided cycle records zero busy lanes, exactly as the real
-		// stalled ticks would: that zero run stays owed on st.acct until
-		// flushAcct backfills it (exact for v == 0; see RecordRun).
 	}
 	if storms > 1 {
 		// Concurrent storms interleave their bandwidth-meter updates in
@@ -293,8 +290,10 @@ func (cp *Coproc) SkipTicks(from, n uint64) {
 			}
 		}
 	}
-	// busyLaneCycles accumulates 0.0/lanes per stalled cycle — an exact
-	// float64 no-op, so there is nothing to add here.
+	// Every elided cycle samples zero busy lanes, exactly as the real
+	// stalled ticks would: busyLaneCycles and each busyLaneAccum stay put,
+	// so the window's bucket boundaries take the current counts.
+	cp.markBusy(from + n)
 	cp.acctUpTo = from + n
 	cp.cycles += n
 }

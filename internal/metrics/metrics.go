@@ -226,6 +226,24 @@ func FormatPct(f float64) string { return fmt.Sprintf("%.1f%%", 100*f) }
 // FormatX renders a speedup.
 func FormatX(f float64) string { return fmt.Sprintf("%.2fx", f) }
 
+// Spark renders a busy-lane curve as an ASCII strip, one character per
+// bucket, from ' ' (no lanes) to '%' (max lanes or more).
+func Spark(points []float64, max float64) string {
+	levels := []rune(" .:-=+*#%")
+	var b strings.Builder
+	for _, v := range points {
+		idx := int(v / max * float64(len(levels)-1))
+		if idx < 0 {
+			idx = 0
+		}
+		if idx >= len(levels) {
+			idx = len(levels) - 1
+		}
+		b.WriteRune(levels[idx])
+	}
+	return b.String()
+}
+
 // SortedNames returns map keys in sorted order (stable report output).
 func SortedNames[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -124,3 +124,10 @@ func TestSortedNames(t *testing.T) {
 		t.Fatalf("SortedNames = %v", got)
 	}
 }
+
+func TestSparkLevelsAndClamping(t *testing.T) {
+	// 0..32 lanes map onto the nine levels; out-of-range values clamp.
+	if got := Spark([]float64{0, 4, 8, 16, 32, 40, -1}, 32); got != " .:=%% " {
+		t.Fatalf("Spark = %q", got)
+	}
+}

@@ -143,30 +143,6 @@ func TestSetSkipAheadOffForcesLegacy(t *testing.T) {
 	}
 }
 
-func TestTimelineRecordRunMatchesRecord(t *testing.T) {
-	a, b := NewTimeline(10), NewTimeline(10)
-	for c := uint64(0); c < 37; c++ {
-		a.Record(c, 0)
-	}
-	b.RecordRun(0, 5, 0)
-	b.RecordRun(5, 17, 0) // crosses two bucket boundaries
-	b.RecordRun(22, 15, 0)
-	ap, bp := a.Points(), b.Points()
-	if len(ap) != len(bp) {
-		t.Fatalf("lengths %d vs %d", len(ap), len(bp))
-	}
-	for i := range ap {
-		if ap[i] != bp[i] {
-			t.Fatalf("bucket %d: %v vs %v", i, ap[i], bp[i])
-		}
-	}
-	for i := range a.counts {
-		if a.counts[i] != b.counts[i] {
-			t.Fatalf("bucket %d count: %d vs %d", i, a.counts[i], b.counts[i])
-		}
-	}
-}
-
 // tickCounter is a trivial component whose only state is how many ticks it
 // received, with one declared quiescent window so a run can be split inside
 // a skip.

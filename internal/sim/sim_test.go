@@ -104,41 +104,6 @@ func TestStatsBasics(t *testing.T) {
 	}
 }
 
-func TestTimelineBuckets(t *testing.T) {
-	tl := NewTimeline(10)
-	for c := uint64(0); c < 25; c++ {
-		tl.Record(c, float64(c/10)) // 0 for first bucket, 1 for second, 2 for third
-	}
-	pts := tl.Points()
-	if len(pts) != 3 {
-		t.Fatalf("len(points) = %d, want 3", len(pts))
-	}
-	for i, want := range []float64{0, 1, 2} {
-		if pts[i] != want {
-			t.Fatalf("bucket %d = %v, want %v", i, pts[i], want)
-		}
-	}
-}
-
-func TestTimelineDefaultsTo1000(t *testing.T) {
-	tl := NewTimeline(0)
-	if tl.BucketCycles() != 1000 {
-		t.Fatalf("default bucket = %d, want 1000", tl.BucketCycles())
-	}
-}
-
-func TestTimelineSparseBucketsReadZero(t *testing.T) {
-	tl := NewTimeline(10)
-	tl.Record(35, 8) // only bucket 3 is populated
-	pts := tl.Points()
-	if len(pts) != 4 {
-		t.Fatalf("len = %d, want 4", len(pts))
-	}
-	if pts[0] != 0 || pts[1] != 0 || pts[2] != 0 || pts[3] != 8 {
-		t.Fatalf("points = %v", pts)
-	}
-}
-
 func TestRNGDeterminism(t *testing.T) {
 	a, b := NewRNG(1234), NewRNG(1234)
 	for i := 0; i < 1000; i++ {

@@ -122,13 +122,37 @@ type LabeledView struct {
 	View  View
 }
 
-// omFamily is one OpenMetrics metric family: declared once, then sampled
-// across every run.
-type omFamily struct {
-	name string // family name (samples append _total for counters)
+// omMeta is what an OpenMetrics family declares before its samples.
+type omMeta struct {
+	name string // family name; counter samples append _total
 	kind string // "counter" or "gauge"
 	help string
-	emit func(w io.Writer, label string, v *View)
+}
+
+// writeOpenMetrics writes n families in OpenMetrics text: each family's HELP
+// and TYPE lines, then whatever emit writes for it under its sample name,
+// then the "# EOF" terminator.
+func writeOpenMetrics(w io.Writer, n int, meta func(i int) *omMeta, emit func(w io.Writer, i int, sample string)) error {
+	bw := bufio.NewWriter(w)
+	for i := 0; i < n; i++ {
+		m := meta(i)
+		fmt.Fprintf(bw, "# HELP %s %s\n", m.name, m.help)
+		fmt.Fprintf(bw, "# TYPE %s %s\n", m.name, m.kind)
+		sample := m.name
+		if m.kind == "counter" {
+			sample += "_total"
+		}
+		emit(bw, i, sample)
+	}
+	fmt.Fprint(bw, "# EOF\n")
+	return bw.Flush()
+}
+
+// omFamily is one sampler family: declared once, then sampled across every
+// run; emit writes run l's samples under sample name n.
+type omFamily struct {
+	omMeta
+	emit func(w io.Writer, n, l string, v *View)
 }
 
 func b01(b bool) int {
@@ -139,124 +163,124 @@ func b01(b bool) int {
 }
 
 var omFamilies = []omFamily{
-	{"occamy_sim_cycles", "gauge", "Simulated cycle of the last closed telemetry window.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_sim_cycles{run=%q} %d\n", l, v.EndCycle)
+	{omMeta{"occamy_sim_cycles", "gauge", "Simulated cycle of the last closed telemetry window."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.EndCycle)
 		}},
-	{"occamy_windows", "counter", "Telemetry windows closed.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_windows_total{run=%q} %d\n", l, v.Produced)
+	{omMeta{"occamy_windows", "counter", "Telemetry windows closed."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.Produced)
 		}},
-	{"occamy_window_cycles", "gauge", "Configured sampling period in cycles.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_window_cycles{run=%q} %d\n", l, v.WindowCycles)
+	{omMeta{"occamy_window_cycles", "gauge", "Configured sampling period in cycles."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.WindowCycles)
 		}},
-	{"occamy_host_cycles_per_second", "gauge", "Host-side simulation throughput over the last window.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_host_cycles_per_second{run=%q} %g\n", l, v.CyclesPerSec)
+	{omMeta{"occamy_host_cycles_per_second", "gauge", "Host-side simulation throughput over the last window."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %g\n", n, l, v.CyclesPerSec)
 		}},
-	{"occamy_repartitions", "counter", "Lane-manager plan computations.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_repartitions_total{run=%q} %d\n", l, v.Repartitions)
+	{omMeta{"occamy_repartitions", "counter", "Lane-manager plan computations."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.Repartitions)
 		}},
-	{"occamy_reconfigures", "counter", "Successful vector-length reconfigurations.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_reconfigures_total{run=%q} %d\n", l, v.Reconfigures)
+	{omMeta{"occamy_reconfigures", "counter", "Successful vector-length reconfigurations."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.Reconfigures)
 		}},
-	{"occamy_events", "counter", "Telemetry events recorded.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_events_total{run=%q} %d\n", l, v.EventsTotal)
+	{omMeta{"occamy_events", "counter", "Telemetry events recorded."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.EventsTotal)
 		}},
-	{"occamy_al_granules", "gauge", "Allocatable lanes (AL) in granules.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_al_granules{run=%q} %d\n", l, v.ALGranules)
+	{omMeta{"occamy_al_granules", "gauge", "Allocatable lanes (AL) in granules."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.ALGranules)
 		}},
-	{"occamy_exebus_usable", "gauge", "Usable execution bundles.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_exebus_usable{run=%q} %d\n", l, v.UsableBUs)
+	{omMeta{"occamy_exebus_usable", "gauge", "Usable execution bundles."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.UsableBUs)
 		}},
-	{"occamy_exebus_failed", "gauge", "Failed execution bundles.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_exebus_failed{run=%q} %d\n", l, v.FailedBUs)
+	{omMeta{"occamy_exebus_failed", "gauge", "Failed execution bundles."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.FailedBUs)
 		}},
-	{"occamy_array_occupancy", "gauge", "Whole-array busy-lane fraction over the last window.",
-		func(w io.Writer, l string, v *View) {
-			fmt.Fprintf(w, "occamy_array_occupancy{run=%q} %g\n", l, v.Occupancy)
+	{omMeta{"occamy_array_occupancy", "gauge", "Whole-array busy-lane fraction over the last window."},
+		func(w io.Writer, n, l string, v *View) {
+			fmt.Fprintf(w, "%s{run=%q} %g\n", n, l, v.Occupancy)
 		}},
-	{"occamy_core_insts", "counter", "Scalar instructions retired per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_insts", "counter", "Scalar instructions retired per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_insts_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Insts)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Insts)
 			}
 		}},
-	{"occamy_core_elems", "counter", "Vector elements completed per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_elems", "counter", "Vector elements completed per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_elems_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Elems)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Elems)
 			}
 		}},
-	{"occamy_core_simd_compute", "counter", "SIMD compute micro-ops issued per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_simd_compute", "counter", "SIMD compute micro-ops issued per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_simd_compute_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Compute)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Compute)
 			}
 		}},
-	{"occamy_core_simd_mem", "counter", "SIMD memory micro-ops issued per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_simd_mem", "counter", "SIMD memory micro-ops issued per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_simd_mem_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Mem)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Mem)
 			}
 		}},
-	{"occamy_core_rename_stalls", "counter", "Rename-stall cycles per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_rename_stalls", "counter", "Rename-stall cycles per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_rename_stalls_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Stalls)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Stalls)
 			}
 		}},
-	{"occamy_core_cycles", "counter", "Top-down cycle attribution per core and bucket.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_cycles", "counter", "Top-down cycle attribution per core and bucket."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
 				for b := 0; b < obs.NumBuckets; b++ {
-					fmt.Fprintf(w, "occamy_core_cycles_total{run=%q,core=\"%d\",bucket=%q} %d\n",
-						l, c, obs.Bucket(b).String(), v.Cores[c].Buckets[b])
+					fmt.Fprintf(w, "%s{run=%q,core=\"%d\",bucket=%q} %d\n",
+						n, l, c, obs.Bucket(b).String(), v.Cores[c].Buckets[b])
 				}
 			}
 		}},
-	{"occamy_core_busy_lanes", "gauge", "Mean busy lanes per cycle over the last window.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_busy_lanes", "gauge", "Mean busy lanes per cycle over the last window."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_busy_lanes{run=%q,core=\"%d\"} %g\n", l, c, v.Cores[c].MeanLanes)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %g\n", n, l, c, v.Cores[c].MeanLanes)
 			}
 		}},
-	{"occamy_core_vl_granules", "gauge", "Configured vector length per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_vl_granules", "gauge", "Configured vector length per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_vl_granules{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].VL)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].VL)
 			}
 		}},
-	{"occamy_core_fairness_headroom_granules", "gauge", "Granules revocable above the fairness floor.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_fairness_headroom_granules", "gauge", "Granules revocable above the fairness floor."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_fairness_headroom_granules{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].Headroom)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].Headroom)
 			}
 		}},
-	{"occamy_core_retire_latency_cycles", "gauge", "Windowed issue-to-retire latency quantiles per core.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_retire_latency_cycles", "gauge", "Windowed issue-to-retire latency quantiles per core."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_retire_latency_cycles{run=%q,core=\"%d\",quantile=\"0.5\"} %g\n", l, c, v.Cores[c].RetireP50)
-				fmt.Fprintf(w, "occamy_core_retire_latency_cycles{run=%q,core=\"%d\",quantile=\"0.99\"} %g\n", l, c, v.Cores[c].RetireP99)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\",quantile=\"0.5\"} %g\n", n, l, c, v.Cores[c].RetireP50)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\",quantile=\"0.99\"} %g\n", n, l, c, v.Cores[c].RetireP99)
 			}
 		}},
-	{"occamy_core_retired", "counter", "Co-processor instructions retired per core (windowless histogram count is windowed; this is the last window's).",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_retired", "counter", "Co-processor instructions retired per core (windowless histogram count is windowed; this is the last window's)."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_retired_total{run=%q,core=\"%d\"} %d\n", l, c, v.Cores[c].RetireCount)
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, v.Cores[c].RetireCount)
 			}
 		}},
-	{"occamy_core_halted", "gauge", "1 when the scalar core has halted.",
-		func(w io.Writer, l string, v *View) {
+	{omMeta{"occamy_core_halted", "gauge", "1 when the scalar core has halted."},
+		func(w io.Writer, n, l string, v *View) {
 			for c := range v.Cores {
-				fmt.Fprintf(w, "occamy_core_halted{run=%q,core=\"%d\"} %d\n", l, c, b01(v.Cores[c].Halted))
+				fmt.Fprintf(w, "%s{run=%q,core=\"%d\"} %d\n", n, l, c, b01(v.Cores[c].Halted))
 			}
 		}},
 }
@@ -264,17 +288,13 @@ var omFamilies = []omFamily{
 // RenderOpenMetrics writes the runs' views in OpenMetrics text format: every
 // family declared exactly once, sampled per run, terminated by "# EOF".
 func RenderOpenMetrics(w io.Writer, runs []LabeledView) error {
-	bw := bufio.NewWriter(w)
-	for i := range omFamilies {
-		f := &omFamilies[i]
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		for r := range runs {
-			f.emit(bw, runs[r].Label, &runs[r].View)
-		}
-	}
-	fmt.Fprint(bw, "# EOF\n")
-	return bw.Flush()
+	return writeOpenMetrics(w, len(omFamilies),
+		func(i int) *omMeta { return &omFamilies[i].omMeta },
+		func(w io.Writer, i int, sample string) {
+			for r := range runs {
+				omFamilies[i].emit(w, sample, runs[r].Label, &runs[r].View)
+			}
+		})
 }
 
 // WriteOpenMetrics renders this sampler alone under the given run label.

@@ -1,7 +1,6 @@
 package telemetry
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 	"sync/atomic"
@@ -87,70 +86,59 @@ func (s *ServiceStats) Retries() uint64       { return s.retries.Load() }
 
 // svcFamily declares one occamy_serve_* OpenMetrics family.
 type svcFamily struct {
-	name string // family name; counter samples append _total
-	kind string // "counter" or "gauge"
-	help string
+	omMeta
 	load func(s *ServiceStats) any
 }
 
 var svcFamilies = []svcFamily{
-	{"occamy_serve_queue_depth", "gauge", "Jobs admitted and waiting for a worker.",
+	{omMeta{"occamy_serve_queue_depth", "gauge", "Jobs admitted and waiting for a worker."},
 		func(s *ServiceStats) any { return s.queueDepth.Load() }},
-	{"occamy_serve_running", "gauge", "Jobs currently executing.",
+	{omMeta{"occamy_serve_running", "gauge", "Jobs currently executing."},
 		func(s *ServiceStats) any { return s.running.Load() }},
-	{"occamy_serve_draining", "gauge", "1 while the service is draining.",
+	{omMeta{"occamy_serve_draining", "gauge", "1 while the service is draining."},
 		func(s *ServiceStats) any { return s.draining.Load() }},
-	{"occamy_serve_live_tenants", "gauge", "Tenants with queued or running jobs.",
+	{omMeta{"occamy_serve_live_tenants", "gauge", "Tenants with queued or running jobs."},
 		func(s *ServiceStats) any { return s.tenants.Load() }},
-	{"occamy_serve_admitted", "counter", "Jobs accepted into the queue.",
+	{omMeta{"occamy_serve_admitted", "counter", "Jobs accepted into the queue."},
 		func(s *ServiceStats) any { return s.admitted.Load() }},
-	{"occamy_serve_deduplicated", "counter", "Submissions coalesced onto an identical in-flight job.",
+	{omMeta{"occamy_serve_deduplicated", "counter", "Submissions coalesced onto an identical in-flight job."},
 		func(s *ServiceStats) any { return s.deduped.Load() }},
-	{"occamy_serve_rejected_queue_full", "counter", "Submissions rejected with 429: queue at capacity.",
+	{omMeta{"occamy_serve_rejected_queue_full", "counter", "Submissions rejected with 429: queue at capacity."},
 		func(s *ServiceStats) any { return s.rejectedFull.Load() }},
-	{"occamy_serve_rejected_quota", "counter", "Submissions rejected with 429: tenant over quota.",
+	{omMeta{"occamy_serve_rejected_quota", "counter", "Submissions rejected with 429: tenant over quota."},
 		func(s *ServiceStats) any { return s.rejectedQuota.Load() }},
-	{"occamy_serve_rejected_draining", "counter", "Submissions rejected with 503 during drain.",
+	{omMeta{"occamy_serve_rejected_draining", "counter", "Submissions rejected with 503 during drain."},
 		func(s *ServiceStats) any { return s.rejectedDraining.Load() }},
-	{"occamy_serve_jobs_done", "counter", "Jobs completed successfully.",
+	{omMeta{"occamy_serve_jobs_done", "counter", "Jobs completed successfully."},
 		func(s *ServiceStats) any { return s.doneOK.Load() }},
-	{"occamy_serve_jobs_failed", "counter", "Jobs failed permanently.",
+	{omMeta{"occamy_serve_jobs_failed", "counter", "Jobs failed permanently."},
 		func(s *ServiceStats) any { return s.doneFailed.Load() }},
-	{"occamy_serve_retries", "counter", "Attempts re-queued after a transient failure.",
+	{omMeta{"occamy_serve_retries", "counter", "Attempts re-queued after a transient failure."},
 		func(s *ServiceStats) any { return s.retries.Load() }},
-	{"occamy_serve_timeouts", "counter", "Attempts killed by their deadline.",
+	{omMeta{"occamy_serve_timeouts", "counter", "Attempts killed by their deadline."},
 		func(s *ServiceStats) any { return s.timeouts.Load() }},
-	{"occamy_serve_stalls", "counter", "Attempts killed by the forward-progress watchdog.",
+	{omMeta{"occamy_serve_stalls", "counter", "Attempts killed by the forward-progress watchdog."},
 		func(s *ServiceStats) any { return s.stalls.Load() }},
-	{"occamy_serve_jobs_parked", "counter", "Jobs checkpoint-parked by a drain.",
+	{omMeta{"occamy_serve_jobs_parked", "counter", "Jobs checkpoint-parked by a drain."},
 		func(s *ServiceStats) any { return s.parked.Load() }},
-	{"occamy_serve_jobs_replayed", "counter", "Journal entries re-admitted on restart.",
+	{omMeta{"occamy_serve_jobs_replayed", "counter", "Journal entries re-admitted on restart."},
 		func(s *ServiceStats) any { return s.replayed.Load() }},
-	{"occamy_serve_cache_hits", "counter", "Checkpoint-cache hits.",
+	{omMeta{"occamy_serve_cache_hits", "counter", "Checkpoint-cache hits."},
 		func(s *ServiceStats) any { return s.cacheHits.Load() }},
-	{"occamy_serve_cache_misses", "counter", "Checkpoint-cache misses (cold warm-ups).",
+	{omMeta{"occamy_serve_cache_misses", "counter", "Checkpoint-cache misses (cold warm-ups)."},
 		func(s *ServiceStats) any { return s.cacheMisses.Load() }},
-	{"occamy_serve_cache_corrupt", "counter", "Checkpoint-cache entries that failed digest verification.",
+	{omMeta{"occamy_serve_cache_corrupt", "counter", "Checkpoint-cache entries that failed digest verification."},
 		func(s *ServiceStats) any { return s.cacheCorrupt.Load() }},
-	{"occamy_serve_cache_evictions", "counter", "Checkpoint-cache entries evicted.",
+	{omMeta{"occamy_serve_cache_evictions", "counter", "Checkpoint-cache entries evicted."},
 		func(s *ServiceStats) any { return s.cacheEvictions.Load() }},
 }
 
-// WriteOpenMetrics renders the service families in the renderer's dialect:
-// HELP and TYPE per family, counters named *_total, "# EOF" terminator. The
-// output passes ValidateOpenMetrics.
+// WriteOpenMetrics renders the service families through the sampler's
+// writer, so the output passes ValidateOpenMetrics.
 func (s *ServiceStats) WriteOpenMetrics(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	for i := range svcFamilies {
-		f := &svcFamilies[i]
-		fmt.Fprintf(bw, "# HELP %s %s\n", f.name, f.help)
-		fmt.Fprintf(bw, "# TYPE %s %s\n", f.name, f.kind)
-		name := f.name
-		if f.kind == "counter" {
-			name += "_total"
-		}
-		fmt.Fprintf(bw, "%s %d\n", name, f.load(s))
-	}
-	fmt.Fprint(bw, "# EOF\n")
-	return bw.Flush()
+	return writeOpenMetrics(w, len(svcFamilies),
+		func(i int) *omMeta { return &svcFamilies[i].omMeta },
+		func(w io.Writer, i int, sample string) {
+			fmt.Fprintf(w, "%s %d\n", sample, svcFamilies[i].load(s))
+		})
 }

@@ -102,54 +102,54 @@ func (s *Sampler) binDelta(copyBins func(*[obs.NumBins]uint64), prev *[obs.NumBi
 // /metrics output is unchanged beyond the (legal) empty family declarations.
 func init() {
 	omFamilies = append(omFamilies,
-		omFamily{"occamy_traffic_queued", "gauge", "Ready-ring occupancy at the last window boundary.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_queued", "gauge", "Ready-ring occupancy at the last window boundary."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_queued{run=%q} %d\n", l, v.Traffic.Queued)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.Traffic.Queued)
 				}
 			}},
-		omFamily{"occamy_traffic_running", "gauge", "Tasks on a core at the last window boundary.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_running", "gauge", "Tasks on a core at the last window boundary."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_running{run=%q} %d\n", l, v.Traffic.Running)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.Traffic.Running)
 				}
 			}},
-		omFamily{"occamy_traffic_arrived", "counter", "Task arrivals injected.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_arrived", "counter", "Task arrivals injected."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_arrived_total{run=%q} %d\n", l, v.TrafficArrived)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.TrafficArrived)
 				}
 			}},
-		omFamily{"occamy_traffic_admitted", "counter", "Tasks first-dispatched onto a core.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_admitted", "counter", "Tasks first-dispatched onto a core."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_admitted_total{run=%q} %d\n", l, v.TrafficAdmitted)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.TrafficAdmitted)
 				}
 			}},
-		omFamily{"occamy_traffic_completed", "counter", "Tasks run to completion.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_completed", "counter", "Tasks run to completion."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_completed_total{run=%q} %d\n", l, v.TrafficCompleted)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.TrafficCompleted)
 				}
 			}},
-		omFamily{"occamy_traffic_canceled", "counter", "Tasks canceled by tenant churn.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_canceled", "counter", "Tasks canceled by tenant churn."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_canceled_total{run=%q} %d\n", l, v.TrafficCanceled)
+					fmt.Fprintf(w, "%s{run=%q} %d\n", n, l, v.TrafficCanceled)
 				}
 			}},
-		omFamily{"occamy_traffic_sojourn_cycles", "gauge", "Windowed arrival-to-completion latency quantiles.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_sojourn_cycles", "gauge", "Windowed arrival-to-completion latency quantiles."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_sojourn_cycles{run=%q,quantile=\"0.5\"} %g\n", l, v.Traffic.SojournP50)
-					fmt.Fprintf(w, "occamy_traffic_sojourn_cycles{run=%q,quantile=\"0.99\"} %g\n", l, v.Traffic.SojournP99)
+					fmt.Fprintf(w, "%s{run=%q,quantile=\"0.5\"} %g\n", n, l, v.Traffic.SojournP50)
+					fmt.Fprintf(w, "%s{run=%q,quantile=\"0.99\"} %g\n", n, l, v.Traffic.SojournP99)
 				}
 			}},
-		omFamily{"occamy_traffic_admit_wait_cycles", "gauge", "Windowed arrival-to-first-dispatch wait quantiles.",
-			func(w io.Writer, l string, v *View) {
+		omFamily{omMeta{"occamy_traffic_admit_wait_cycles", "gauge", "Windowed arrival-to-first-dispatch wait quantiles."},
+			func(w io.Writer, n, l string, v *View) {
 				if v.HasTraffic {
-					fmt.Fprintf(w, "occamy_traffic_admit_wait_cycles{run=%q,quantile=\"0.5\"} %g\n", l, v.Traffic.AdmitP50)
-					fmt.Fprintf(w, "occamy_traffic_admit_wait_cycles{run=%q,quantile=\"0.99\"} %g\n", l, v.Traffic.AdmitP99)
+					fmt.Fprintf(w, "%s{run=%q,quantile=\"0.5\"} %g\n", n, l, v.Traffic.AdmitP50)
+					fmt.Fprintf(w, "%s{run=%q,quantile=\"0.99\"} %g\n", n, l, v.Traffic.AdmitP99)
 				}
 			}},
 	)

@@ -23,6 +23,11 @@ func ReadJSON(r io.Reader) (*Run, error) {
 	if len(run.Cores) == 0 {
 		return nil, fmt.Errorf("trace: run has no cores (not a trace export?)")
 	}
+	for i, e := range run.Events {
+		if e.Core < 0 || e.Core >= len(run.Cores) {
+			return nil, fmt.Errorf("trace: lane event %d names core %d, run has %d cores", i, e.Core, len(run.Cores))
+		}
+	}
 	return &run, nil
 }
 

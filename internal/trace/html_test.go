@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 
@@ -40,6 +41,34 @@ func TestReadJSONRejectsGarbage(t *testing.T) {
 	if _, err := ReadJSON(strings.NewReader(`{"arch":"Occamy"}`)); err == nil {
 		t.Fatal("core-less export accepted")
 	}
+	for _, core := range []string{"-1", "1"} {
+		doc := `{"cores":[{"workload":"w"}],"lane_events":[{"core":` + core + `,"kind":"reconfigure","vl":2}]}`
+		if _, err := ReadJSON(strings.NewReader(doc)); err == nil {
+			t.Fatalf("lane event on core %s of a 1-core run accepted", core)
+		}
+	}
+}
+
+// FuzzReadJSON hardens the occamy-trace input path: any document ReadJSON
+// accepts must render into a page without panicking.
+func FuzzReadJSON(f *testing.F) {
+	f.Add([]byte(`{"arch":"Private","schedule":"x","cores":[{"workload":"w"}]}`))
+	f.Add([]byte(`{"cycles":5000,"bucket_cycles":1000,"lanes_per_granule":4,` +
+		`"cores":[{"workload":"a","phase_cycles":[10,20],"phase_issue_rates":[0.5],"busy_lanes":[1,2.5,0]},{"workload":"b"}],` +
+		`"lane_events":[{"cycle":100,"core":1,"kind":"reconfigure","vl":3,"decisions":[1,3]}]}`))
+	f.Add([]byte(`{"cores":[{}],"lane_events":[{"core":-1,"kind":"reconfigure"}]}`))
+	f.Add([]byte(`{`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		run, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		page := htmlreport.New("fuzz")
+		run.AddSections(page)
+		if err := page.Write(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestReadJSONDefaultsBucket pins the legacy-file default.

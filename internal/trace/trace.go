@@ -12,6 +12,7 @@ import (
 	"strconv"
 
 	"occamy/internal/arch"
+	"occamy/internal/coproc"
 )
 
 // Run captures everything exported for one simulation.
@@ -59,7 +60,7 @@ func Capture(sys *arch.System, res *arch.Result) *Run {
 		Schedule:        res.Sched,
 		Cycles:          res.Cycles,
 		Util:            res.Utilization,
-		BucketCycles:    1000,
+		BucketCycles:    coproc.BusyBucketCycles,
 		LanesPerGranule: sys.Cplx.LanesPerGranule(),
 	}
 	for c, cr := range res.Cores {
@@ -70,7 +71,7 @@ func Capture(sys *arch.System, res *arch.Result) *Run {
 			RenameStallFrac: cr.RenameStallFrac,
 			PhaseCycles:     cr.PhaseCycles,
 			PhaseIssueRates: cr.PhaseIssueRates,
-			BusyLanes:       sys.Cplx.BusyTimeline(c).Points(),
+			BusyLanes:       sys.Cplx.BusyLanes(c),
 		})
 	}
 	for _, e := range sys.Cplx.LaneEvents() {
@@ -163,7 +164,7 @@ func (r *Run) AllocatedLanes() [][]Step {
 		out[c] = []Step{{Cycle: 0, Lanes: 0}}
 	}
 	for _, e := range r.Events {
-		if e.Kind != "reconfigure" || e.Core >= len(out) {
+		if e.Kind != "reconfigure" {
 			continue
 		}
 		out[e.Core] = append(out[e.Core], Step{Cycle: e.Cycle, Lanes: lpg * e.VL})

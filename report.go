@@ -103,7 +103,7 @@ func newReport(sys *arch.System, res *arch.Result) *Report {
 			OverheadReconfigFrac: cr.OverheadReconfigFrac,
 			Attribution:          cr.Attribution,
 		})
-		r.LaneTimelines = append(r.LaneTimelines, sys.Cplx.BusyTimeline(c).Points())
+		r.LaneTimelines = append(r.LaneTimelines, sys.Cplx.BusyLanes(c))
 	}
 	if sys.Probe != nil {
 		r.Stats = sys.Stats.Snapshot()
@@ -217,17 +217,5 @@ func (r *Report) AsciiTimeline(c int, maxLanes float64) string {
 	if c >= len(r.LaneTimelines) {
 		return ""
 	}
-	levels := []rune(" .:-=+*#%")
-	var b strings.Builder
-	for _, v := range r.LaneTimelines[c] {
-		idx := int(v / maxLanes * float64(len(levels)-1))
-		if idx < 0 {
-			idx = 0
-		}
-		if idx >= len(levels) {
-			idx = len(levels) - 1
-		}
-		b.WriteRune(levels[idx])
-	}
-	return b.String()
+	return metrics.Spark(r.LaneTimelines[c], maxLanes)
 }
