@@ -273,10 +273,10 @@ func BenchmarkEngineSkipAhead(b *testing.B) {
 // point recycles the system whenever the workload nears completion, so b.N
 // can exceed the workload length without measuring post-completion idle
 // cycles. The recycle restore runs outside the timer (StopTimer/StartTimer):
-// it is harness housekeeping, not steady-state work, and since the restore
-// path gained snapshot-integrity verification (a full digest walk per
-// restore) leaving it timed would smear an amortized verify into the
-// per-cycle numbers this gate exists to pin down.
+// it is harness housekeeping, not steady-state work. It skips the snapshot
+// digest (RestoreCheckpointTrusted): the harness restores the snapshot it
+// just captured in-process, and a verified restore's digest walk would
+// otherwise fill a CPU profile of this benchmark with non-tick samples.
 //
 // CI gates on this benchmark: cmd/occamy-benchgate compares ns/op against
 // the committed BENCH_PR10.json baseline (±10%) and fails on any nonzero
@@ -303,9 +303,7 @@ func BenchmarkSteadyStateTick(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if sys.Engine.Cycle() >= recycle {
 					b.StopTimer()
-					if err := sys.RestoreCheckpoint(snap); err != nil {
-						b.Fatal(err)
-					}
+					sys.RestoreCheckpointTrusted(snap)
 					b.StartTimer()
 				}
 				sys.Engine.Step()
@@ -393,9 +391,7 @@ func BenchmarkSteadyStateTickTopo64(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if sys.Engine.Cycle() >= recycle {
 					b.StopTimer()
-					if err := sys.RestoreCheckpoint(snap); err != nil {
-						b.Fatal(err)
-					}
+					sys.RestoreCheckpointTrusted(snap)
 					b.StartTimer()
 				}
 				sys.Engine.Step()

@@ -10,7 +10,8 @@ import (
 // run resumes bit-identically mid-flight — mid-backlog, mid-drain, even
 // mid-fault. Configuration and wiring (ports, probe, responder, roofline
 // model) are not captured: a checkpoint restores onto the instance it was
-// taken from (or an identically built one).
+// taken from (or an identically built one). The issue stage's wakeup state
+// (wakeup.go) is derived from the window and rebuilt on restore.
 
 // ckCore is the checkpoint of one core's coreState.
 type ckCore struct {
@@ -20,9 +21,8 @@ type ckCore struct {
 	renamed int
 
 	z          []float32 // flat [reg*lanes] copy
-	seqCounter uint64
 	lastWriter [isa.NumZRegs]uint64
-	done       []doneEntry
+	regDone    [isa.NumZRegs]uint64
 
 	inflight   []uint64
 	lhq        []uint64
@@ -89,9 +89,8 @@ func (cp *Coproc) Checkpoint() CheckpointState {
 			head:           c.head,
 			tail:           c.tail,
 			renamed:        c.renamed,
-			seqCounter:     c.seqCounter,
 			lastWriter:     c.lastWriter,
-			done:           append([]doneEntry(nil), c.done.entries...),
+			regDone:        c.regDone,
 			inflight:       append([]uint64(nil), c.inflight.releases...),
 			lhq:            append([]uint64(nil), c.lhq.releases...),
 			stq:            append([]uint64(nil), c.stq.releases...),
@@ -151,9 +150,9 @@ func (cp *Coproc) RestoreCheckpoint(st CheckpointState) {
 		c.head = ck.head
 		c.tail = ck.tail
 		c.renamed = ck.renamed
-		c.seqCounter = ck.seqCounter
 		c.lastWriter = ck.lastWriter
-		copy(c.done.entries, ck.done)
+		c.regDone = ck.regDone
+		c.rebuildWake(st.cycles)
 		c.inflight.restore(ck.inflight)
 		c.lhq.restore(ck.lhq)
 		c.stq.restore(ck.stq)

@@ -43,13 +43,17 @@ type XInst struct {
 	// Phase attributes the instruction for per-phase statistics.
 	Phase int
 
-	// Renamer-assigned fields.
+	// Renamer-assigned fields. seq is the instruction's stream position
+	// plus one (0 names no producer); dep1-3 are its producers' seqs.
 	seq              uint64
 	dep1, dep2, dep3 uint64
 	issued           bool
-	// kind caches the opcode's issue class at transmit time: the issue
-	// scan runs over the window every cycle, and the opcode-table lookups
-	// behind Op.IsEMSIMD/IsVectorMem are hot enough to show up.
+	// readyAt is the latest completion cycle among the producers that have
+	// issued so far; once none is left unissued, the operands are ready
+	// from readyAt on (see wakeup.go).
+	readyAt uint64
+	// kind caches the opcode's issue class at transmit time, so the issue
+	// stage never goes back to the opcode table.
 	kind issueKind
 	// notBefore is the cycle the instruction arrives at its cluster after
 	// crossing the CPU→coproc fabric (Complex.Transmit stamps it); zero (or
@@ -113,12 +117,15 @@ type coreState struct {
 	// Lanes() float32 elements, updated in program order at transmit.
 	z [][]float32
 
-	// Renamer state: sequence numbers and the last writer of each
-	// architectural vector register.
-	seqCounter uint64
+	// Renamer state: the newest writer (seq) of each architectural vector
+	// register, and that writer's completion cycle once it has issued
+	// (notIssued before) — the per-register completion table consumers
+	// read at transmit.
 	lastWriter [isa.NumZRegs]uint64
-	// done is a ring of completion cycles indexed by sequence number.
-	done doneRing
+	regDone    [isa.NumZRegs]uint64
+
+	// wk is the issue stage's derived wakeup state (wakeup.go).
+	wk wakeState
 
 	inflight holdTracker // issued, not yet written back (drain check)
 	lhq      holdTracker // outstanding loads
@@ -376,7 +383,6 @@ func New(cfg Config, vecPort mem.SharedPort, data *mem.Memory, model roofline.Mo
 	lanes := cfg.Lanes()
 	for c := 0; c < cfg.Cores; c++ {
 		st := &coreState{lastReject: -1}
-		st.done.init()
 		// Pre-size the hold trackers to their architectural bounds so
 		// steady-state Add never grows a backing array: LHQ/STQ are hard
 		// caps, register holds cannot exceed the physical pool, and
@@ -448,13 +454,7 @@ func (cp *Coproc) ReadSysNow(c int, sys isa.SysReg) uint32 { return cp.tbl.ReadR
 // <SVE, Scalar> ordering).
 func (cp *Coproc) MemInFlight(c int, now uint64) int {
 	st := cp.cores[c]
-	pending := 0
-	for i := st.head; i < st.tail; i++ {
-		if x := st.at(i); !x.issued && x.Op.IsVectorMem() {
-			pending++
-		}
-	}
-	return pending + st.lhq.Count(now) + st.stq.Count(now)
+	return st.wk.mem.count() + st.lhq.Count(now) + st.stq.Count(now)
 }
 
 // TransmitStatus reports why a Transmit was refused.
@@ -485,8 +485,10 @@ func (cp *Coproc) Transmit(x XInst) TransmitStatus {
 		return TransmitLinkDown
 	}
 	x.enq = cp.cycles
-	st.seqCounter++
-	x.seq = st.seqCounter
+	x.seq = uint64(st.tail) + 1
+	s := st.tail & queueMask
+	st.wk.first[s] = noLink
+	st.wk.pending[s] = 0
 	switch {
 	case x.Op.IsEMSIMD():
 		x.kind = kindEMSIMD
@@ -501,6 +503,7 @@ func (cp *Coproc) Transmit(x XInst) TransmitStatus {
 		cp.renameAndApply(&x, st)
 	}
 	*st.at(st.tail) = x
+	st.wk.admit(s, st.at(st.tail), cp.cycles)
 	st.tail++
 	return TransmitOK
 }
@@ -568,11 +571,19 @@ func (cp *Coproc) canRename(c int, now uint64) bool {
 
 // renameAndApply assigns RAW dependencies from the renamer's last-writer
 // table and executes the instruction's value semantics against the
-// architectural vector state (program order = transmit order).
+// architectural vector state (program order = transmit order). Operand k of
+// an issued producer folds the producer's completion cycle into readyAt; of
+// an unissued one, links x onto the producer's slot until it issues.
 func (cp *Coproc) renameAndApply(x *XInst, st *coreState) {
-	dep := func(r isa.Reg) uint64 {
+	s := slotOf(x.seq)
+	dep := func(k int, r isa.Reg) uint64 {
 		if r == isa.RegNone || int(r) >= len(st.lastWriter) {
 			return 0
+		}
+		if done := st.regDone[r]; done != notIssued {
+			x.readyAt = max(x.readyAt, done)
+		} else {
+			st.wk.linkTo(s, k, slotOf(st.lastWriter[r]))
 		}
 		return st.lastWriter[r]
 	}
@@ -581,16 +592,17 @@ func (cp *Coproc) renameAndApply(x *XInst, st *coreState) {
 		// No vector register sources (addresses and scalar payloads
 		// were resolved at the core).
 	case isa.OpVStore:
-		x.dep1 = dep(x.Dst) // store data
+		x.dep1 = dep(0, x.Dst) // store data
 	case isa.OpVFMla:
-		x.dep1, x.dep2, x.dep3 = dep(x.Src1), dep(x.Src2), dep(x.Dst)
+		x.dep1, x.dep2, x.dep3 = dep(0, x.Src1), dep(1, x.Src2), dep(2, x.Dst)
 	case isa.OpVFAddV, isa.OpVMovX0, isa.OpVFNeg, isa.OpVFAbs, isa.OpVFSqrt:
-		x.dep1 = dep(x.Src1)
+		x.dep1 = dep(0, x.Src1)
 	default:
-		x.dep1, x.dep2 = dep(x.Src1), dep(x.Src2)
+		x.dep1, x.dep2 = dep(0, x.Src1), dep(1, x.Src2)
 	}
 	if hasZDst(x.Op) {
 		st.lastWriter[x.Dst] = x.seq
+		st.regDone[x.Dst] = notIssued
 	}
 	cp.applyFunctional(x, st)
 }
@@ -781,32 +793,17 @@ func (st *coreState) addPhaseCompute(phase int) {
 	st.computeByPhase[idx]++
 }
 
-// depReady reports whether dependency seq has completed.
-func (st *coreState) depReady(seq, now uint64) bool {
-	if seq == 0 {
-		return true
-	}
-	done, state := st.done.get(seq)
-	switch state {
-	case ringHit:
-		return done <= now
-	case ringOlder:
-		// Overwritten: the writer issued at least ringSize sequence
-		// numbers ago and has long completed.
-		return true
-	default:
-		return false // writer not yet issued
-	}
-}
-
-func (x *XInst) depsReady(st *coreState, now uint64) bool {
-	return st.depReady(x.dep1, now) && st.depReady(x.dep2, now) && st.depReady(x.dep3, now)
-}
-
-// tickCore scans core c's issue window in age order and issues every ready
-// instruction within the cycle budgets — the out-of-order dispatcher of
-// Figure 5. Renaming is in-order: a physical-register shortage stalls the
+// tickCore runs core c's issue stage for one cycle — the out-of-order
+// dispatcher of Figure 5. It visits the window's issue candidates in age
+// order (wakeState.nextCand) and issues every one it can within the cycle
+// budgets. Renaming is in-order: a physical-register shortage stalls the
 // whole window (the Figure 13 effect on FTS).
+//
+// Compute instructions still waiting on an operand are not visited at all.
+// Each one the age-ordered scan would have passed while compute slots were
+// left signals ExeBU-wait; a range test over the wait mask, from the
+// starting head to the point where the compute budget ran out or the scan
+// stopped, reproduces exactly that.
 func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 	st := cp.cores[c]
 	for st.head < st.tail && st.at(st.head).issued {
@@ -821,68 +818,64 @@ func (cp *Coproc) tickCore(c int, now uint64, budget *issueBudget) {
 		}
 		return
 	}
-	end := st.renamed
+	w := &st.wk
+	w.wakeUp(now)
+	start, end := st.head, st.renamed
+	waitEnd := end // waiting compute instructions before waitEnd signal
+	if budget.compute == 0 {
+		waitEnd = start
+	}
 	memBlocked := false   // LHQ/MSHR structural stall: no younger memory op may issue
 	storeBlocked := false // stores issue in order among themselves
-	for i := st.head; i < end; i++ {
+scan:
+	for i := start; ; i++ {
+		i = w.nextCand(i, end, budget.compute > 0, !memBlocked && budget.mem > 0)
+		if i == end || budget.compute == 0 && budget.mem == 0 && *budget.emsimd == 0 {
+			break
+		}
 		x := st.at(i)
-		if x.issued {
-			continue
-		}
-		if budget.compute == 0 && budget.mem == 0 && *budget.emsimd == 0 {
-			return
-		}
 		switch x.kind {
 		case kindEMSIMD:
 			// The EM-SIMD path is in-order and fences the window:
 			// nothing younger issues past an unexecuted EM-SIMD
 			// instruction.
-			if i != st.head || *budget.emsimd == 0 {
-				return
-			}
-			if !cp.execEMSIMD(c, x, now) {
-				return
+			if i != st.head || *budget.emsimd == 0 || !cp.execEMSIMD(c, x, now) {
+				waitEnd = min(waitEnd, i)
+				break scan
 			}
 			*budget.emsimd--
+			w.em.clear(i & queueMask)
 			x.issued = true
 			cp.progress++
 			st.head++
 		case kindMem, kindStore:
-			if memBlocked || budget.mem == 0 {
-				continue
-			}
 			if x.kind == kindStore && storeBlocked {
 				continue
 			}
 			switch cp.issueMem(c, x, now) {
 			case issueOK:
 				budget.mem--
+				w.mem.clear(i & queueMask)
 				x.issued = true
 				cp.progress++
 			case issueStructural:
 				memBlocked = true
 			case issueDataWait:
-				if x.kind == kindStore {
-					storeBlocked = true
-				}
-			case issueRenameStall:
-				return
+				storeBlocked = true
 			}
-		default: // vector compute
+		default: // vector compute, operands ready
+			cp.issueCompute(c, x, now)
+			budget.compute--
+			w.ready.clear(i & queueMask)
+			x.issued = true
+			cp.progress++
 			if budget.compute == 0 {
-				continue
-			}
-			switch cp.issueCompute(c, x, now) {
-			case issueOK:
-				budget.compute--
-				x.issued = true
-				cp.progress++
-			case issueRenameStall:
-				return
-			case issueDataWait, issueStructural:
-				// Not ready: younger independent work may issue.
+				waitEnd = min(waitEnd, i)
 			}
 		}
+	}
+	if cp.probe != nil && w.wait.any(start, waitEnd) {
+		cp.probe.Signal(c, obs.SigExeBUWait)
 	}
 }
 
@@ -892,7 +885,6 @@ const (
 	issueOK issueStatus = iota
 	issueDataWait
 	issueStructural
-	issueRenameStall
 )
 
 // issuePhys moves a renamed destination register from the queued state to
@@ -913,16 +905,12 @@ func (cp *Coproc) latFor(op isa.Opcode) uint64 {
 	return cp.cfg.ComputeLat
 }
 
-// issueCompute issues one SIMD compute micro-op (every granule of the core's
-// partition receives the same µop; each ExeBU has two pipes, so the
-// busy-lane accounting charges half the lanes per instruction, saturating at
-// two issues per cycle).
-func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
+// issueCompute issues one SIMD compute micro-op whose operands are ready
+// (every granule of the core's partition receives the same µop; each ExeBU
+// has two pipes, so the busy-lane accounting charges half the lanes per
+// instruction, saturating at two issues per cycle).
+func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) {
 	st := cp.cores[c]
-	if !x.depsReady(st, now) {
-		cp.probe.Signal(c, obs.SigExeBUWait)
-		return issueDataWait
-	}
 	cp.probe.Signal(c, obs.SigVecIssue)
 	done := now + cp.latFor(x.Op)
 	if cp.retireHists != nil {
@@ -930,8 +918,8 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
 	}
 	if hasZDst(x.Op) {
 		cp.issuePhys(c, done)
+		st.post(x, done, now)
 	}
-	st.done.set(x.seq, done)
 	st.inflight.Add(done)
 	st.computeIssued++
 	st.addPhaseCompute(x.Phase)
@@ -942,7 +930,6 @@ func (cp *Coproc) issueCompute(c int, x *XInst, now uint64) issueStatus {
 	if m := 4 * float64(x.Width); cp.cycleBusyLanes[c] > m {
 		cp.cycleBusyLanes[c] = m
 	}
-	return issueOK
 }
 
 // issueMem issues one vector load or store micro-op through the LSU.
@@ -953,8 +940,8 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 		// Fully predicated off: completes instantly.
 		if hasZDst(x.Op) {
 			cp.issuePhys(c, now)
+			st.post(x, now, now)
 		}
-		st.done.set(x.seq, now)
 		cp.probe.Signal(c, obs.SigVecIssue)
 		if cp.retireHists != nil {
 			cp.retireHists[c].Observe(now - x.enq)
@@ -975,7 +962,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			return issueStructural
 		}
 		cp.issuePhys(c, done)
-		st.done.set(x.seq, done)
+		st.post(x, done, now)
 		st.lhq.Add(done)
 		st.inflight.Add(done)
 		if cp.retireHists != nil {
@@ -986,7 +973,7 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			cp.probe.Signal(c, obs.SigLSUWait)
 			return issueStructural
 		}
-		if !x.depsReady(st, now) { // store data
+		if !st.operandsReady(x, now) { // store data
 			cp.probe.Signal(c, obs.SigLSUWait)
 			return issueDataWait
 		}
@@ -997,7 +984,6 @@ func (cp *Coproc) issueMem(c int, x *XInst, now uint64) issueStatus {
 			*cp.mshrRetriesCell++
 			return issueStructural
 		}
-		st.done.set(x.seq, done)
 		st.stq.Add(done)
 		st.inflight.Add(done)
 		if cp.retireHists != nil {

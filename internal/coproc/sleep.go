@@ -14,14 +14,15 @@ import (
 // advance the pool head, and must run for real).
 //
 // The wake contract leans on the fact that every time-driven predicate in
-// this package — depReady, holdTracker.Count, canRename, Quiescent,
+// this package — operand readiness, holdTracker.Count, canRename, Quiescent,
 // MemInFlight — is a threshold test against completion timestamps that were
 // fixed when the corresponding operation issued. Between now and the
 // earliest pending completion nothing can change on its own, so declaring
 // wake = min(inflight releases, emsimdBusyUntil, MSHR releases) re-runs the
 // real tick at exactly every event boundary. The lhq, stq and pool trackers
 // are populated with the same completion cycles as inflight, so inflight
-// alone covers them.
+// alone covers them; so are the calendar's ready cycles, each of which is
+// some producer's completion.
 //
 // Memory retries are skippable when they repeat identically: a retry that
 // rejects on its first missing line because the MSHRs are full performs only
@@ -113,17 +114,28 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 		}
 		return fx, wake, true
 	}
+	// The issue scan, over the same candidates tickCore visits. Waiting
+	// compute instructions the scan passes signal ExeBU-wait (see tickCore).
+	w := &st.wk
+	w.wakeUp(now)
+	quiet := func(stop int) (sleepFx, uint64, bool) {
+		if w.wait.any(st.head, stop) {
+			fx.sig |= obs.SigExeBUWait
+		}
+		return fx, wake, true
+	}
 	memBlocked := false
 	storeBlocked := false
-	for i := st.head; i < st.renamed; i++ {
-		x := st.at(i)
-		if x.issued {
-			continue
+	for i := st.head; ; i++ {
+		i = w.nextCand(i, st.renamed, true, !memBlocked)
+		if i == st.renamed {
+			return quiet(i)
 		}
-		switch {
-		case x.Op.IsEMSIMD():
+		x := st.at(i)
+		switch x.kind {
+		case kindEMSIMD:
 			if i != st.head {
-				return fx, wake, true // fences the scan; nothing younger is examined
+				return quiet(i) // fences the scan; nothing younger is examined
 			}
 			if x.Op == isa.OpMSR && x.Sys == isa.SysOI {
 				if cp.emsimdBusyUntil > now {
@@ -144,14 +156,14 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 				return fx, 0, false // drained: the reconfiguration executes
 			}
 			return fx, 0, false // MRS and other MSRs execute immediately
-		case x.Op.IsVectorMem():
-			if memBlocked || (x.Op == isa.OpVStore && storeBlocked) {
+		case kindMem, kindStore:
+			if x.kind == kindStore && storeBlocked {
 				continue
 			}
 			if x.Active == 0 {
 				return fx, 0, false // fully predicated off: issues instantly
 			}
-			if x.Op == isa.OpVLoad {
+			if x.kind == kindMem {
 				if st.lhq.Count(now) >= cp.cfg.LHQ {
 					fx.sig |= obs.SigLSUWait
 					memBlocked = true
@@ -163,7 +175,7 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 					memBlocked = true
 					continue
 				}
-				if !x.depsReady(st, now) {
+				if !st.operandsReady(x, now) {
 					fx.sig |= obs.SigLSUWait
 					storeBlocked = true
 					continue
@@ -174,7 +186,7 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 			// else changes cache state in a way a bulk replay cannot
 			// reproduce and must tick for real.
 			if cp.vecProbe != nil {
-				write := x.Op == isa.OpVStore
+				write := x.kind == kindStore
 				if r, rejected := cp.vecProbe.ProbeRetry(now, x.Addr, 4*x.Active, write, c); rejected {
 					fx.sig |= obs.SigMemBW
 					fx.mshrRetry = true
@@ -187,15 +199,10 @@ func (cp *Coproc) coreSleep(c int, now uint64) (fx sleepFx, wake uint64, ok bool
 				}
 			}
 			return fx, 0, false // access would make progress
-		default: // vector compute
-			if !x.depsReady(st, now) {
-				fx.sig |= obs.SigExeBUWait
-				continue
-			}
+		default: // vector compute with ready operands
 			return fx, 0, false // would issue
 		}
 	}
-	return fx, wake, true
 }
 
 // NextWake implements sim.Sleeper. A fully quiescent scan memoizes each
@@ -216,7 +223,7 @@ func (cp *Coproc) NextWake(now uint64) (uint64, bool) {
 		if w < wake {
 			wake = w
 		}
-		if r := cp.cores[c].inflight.next(now); r < wake {
+		if r := cp.cores[c].inflight.after(now); r < wake {
 			wake = r
 		}
 	}

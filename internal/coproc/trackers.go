@@ -70,17 +70,14 @@ func (t *holdTracker) restore(rs []uint64) {
 	}
 }
 
-// next returns the earliest release strictly after now, or sim.NeverWake
+// after returns the earliest release strictly after now, or sim.NeverWake
 // when nothing is pending — the tracker's contribution to the skip-ahead
-// engine's wake computation: Count(t) is constant for t in [now, next).
-func (t *holdTracker) next(now uint64) uint64 {
-	min := uint64(math.MaxUint64)
-	for _, r := range t.releases {
-		if r > now && r < min {
-			min = r
-		}
-	}
-	return min
+// engine's wake computation: Count(t) is constant for t in [now, after).
+// Once drain has run at now, nextRel is exactly that release, so the answer
+// costs a scan only on cycles where entries expire.
+func (t *holdTracker) after(now uint64) uint64 {
+	t.drain(now)
+	return t.nextRel
 }
 
 // max returns the latest recorded release (0 when empty): the last cycle t
